@@ -59,7 +59,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 	slab := fs.Int64("slab", 64<<20, "slab size in bytes (per node)")
 	slots := fs.Int("slots", 0, "kv slot count (0 = slab/slotbytes)")
 	slotBytes := fs.Int("slotbytes", 4096, "bytes per kv slot")
-	dupWindow := fs.Int("dup-window", 0, "per-session duplicate-suppression window (0 = default)")
 	duration := fs.Duration("duration", 0, "serve for this long then exit (0 = until SIGINT/SIGTERM)")
 	metricsAddr := fs.String("metrics", "", "HTTP admin address serving /metrics, /healthz, /debug/pprof (empty = off)")
 	traceOps := fs.Int("trace-ops", 0, "keep the last N per-op trace records, served at /debug/traceops (0 = off)")
@@ -117,7 +116,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 			Geometry: rmem.Geometry{
 				SlabBytes: uint64(*slab), Slots: *slots, SlotBytes: *slotBytes,
 			},
-			DupWindow: *dupWindow,
 			Metrics:   rmem.NewServerMetrics(reg),
 			Responder: wire.NewResponderMetrics(reg),
 			NowNS:     nowNS,

@@ -133,9 +133,11 @@ func (d *pipelinedDriver) drain() {
 	}
 }
 
-// warm pushes the stack past the responder's dedup window so the measured
-// region sees steady state: pools populated, free lists primed, the
-// duplicate-suppression ring at capacity and recycling entries.
+// warm runs the stack to steady state before the measured region: pools
+// populated, call records primed, the responder's reply cache sized to the
+// ack-floor span and recycling entries as the floor passes them. The count
+// is kept past wire.DefaultResponderWindow so the IDs have also run beyond
+// the span the server accepts above a floor.
 func (d *pipelinedDriver) warm(b *testing.B, addrOf func(i int) uint64, size int) {
 	b.Helper()
 	for i := 0; i < wire.DefaultResponderWindow+1024; i++ {

@@ -49,11 +49,12 @@ func wrapDeadline(err error) error {
 	return &deadlineError{cause: err}
 }
 
-// MaxWindow caps ClientConfig.Window. It must stay well below the server's
-// duplicate-suppression window (wire.DefaultResponderWindow): while one op
-// is still retrying, the other in-flight ops' completions churn the
-// server's cache, and the cap keeps the slow op's entry from being evicted
-// before its last retransmission.
+// MaxWindow caps ClientConfig.Window. It stays well below
+// wire.DefaultResponderWindow, the span above the client's ack floor that
+// the server accepts: while the oldest op retries, the floor holds at its ID
+// and the other in-flight ops keep drawing new IDs, so the cap leaves
+// headroom for the span to grow before the server starts dropping requests
+// (each such drop costs a retransmission once the oldest op retires).
 const MaxWindow = 1024
 
 // ClientConfig tunes the client.

@@ -153,7 +153,7 @@ func TestRetransmissionRecovers(t *testing.T) {
 }
 
 // TestDuplicateRMWExactlyOnce: dropping every first response forces a
-// retransmission of every request; the dedup window must keep the fetch-add
+// retransmission of every request; the reply cache must keep the fetch-add
 // count exact.
 func TestDuplicateRMWExactlyOnce(t *testing.T) {
 	seen := map[uint32]bool{}

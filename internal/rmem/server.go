@@ -74,9 +74,6 @@ type ServerConfig struct {
 	// Zero means DefaultShards; 1 restores the single-lock behaviour;
 	// values above 256 are clamped.
 	Shards int
-	// DupWindow is the per-session duplicate-suppression window
-	// (wire.DefaultResponderWindow when zero).
-	DupWindow int
 	// Metrics receives the operation counters and service-time histograms.
 	// Nil gets a private, unregistered instance, so Stats() always works.
 	Metrics *ServerMetrics
@@ -219,11 +216,10 @@ func (s *Server) Stats() ServerStats {
 func (s *Server) Metrics() *ServerMetrics { return s.metrics }
 
 // NewSession builds the reliable server half for one client, replying over
-// pipe. Each session gets its own duplicate-suppression window; all sessions
-// share the server's responder metrics.
+// pipe. Each session gets its own reply cache, bounded by the client's ack
+// floor; all sessions share the server's responder metrics.
 func (s *Server) NewSession(pipe wire.Pipe) *wire.Responder {
-	return wire.NewResponder(pipe, wire.ResponderConfig{
-		Window: s.cfg.DupWindow, Metrics: s.cfg.Responder}, s.Handle)
+	return wire.NewResponder(pipe, wire.ResponderConfig{Metrics: s.cfg.Responder}, s.Handle)
 }
 
 // statusOf maps a memctl error to a wire status.

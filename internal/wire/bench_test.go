@@ -99,7 +99,7 @@ func BenchmarkDecodeInto(b *testing.B) {
 
 // BenchmarkLoopbackRoundTrip measures one full reliable request/response
 // over the in-process transport (codec both ways, reliability bookkeeping,
-// duplicate-suppression cache). The request message and completion callback
+// reply cache). The request message and completion callback
 // are reused across iterations, as a pipelining client would, so the
 // reported allocs/op reflect the protocol stack alone.
 func BenchmarkLoopbackRoundTrip(b *testing.B) {

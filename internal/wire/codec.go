@@ -12,10 +12,19 @@
 //     corrupted datagrams are detected and dropped like a failed PCS decode
 //     in the paper's fabric (§3.3);
 //   - Conn (conn.go): client-side reliability — per-message retransmission
-//     with configurable timeout/retry, response matching by message ID;
-//   - Responder (conn.go): server-side duplicate suppression via an ID
-//     window with a cached-response replay, so retransmitted RMWREQs stay
-//     exactly-once.
+//     with configurable timeout/retry, response matching by message ID, and
+//     an ack floor (the lowest ID still pending) stamped into every request;
+//   - Responder (conn.go): server-side duplicate suppression. A reply is
+//     cached from the moment its request first executes until the client's
+//     ack floor passes its ID, so a retransmission replays it instead of
+//     re-executing (RMWs stay exactly-once), and a late duplicate below the
+//     floor — a call the client has already retired — is dropped unexecuted.
+//     The server's memory thus tracks the calls the client can still
+//     retransmit, like EDM's switch holding a transfer's state only while it
+//     is live, rather than the session's history.
+//
+// The header carries Version 2 (the ack floor joined the header); a v1 peer
+// is rejected by the version check with ErrVersion.
 //
 // Transports: real UDP (udp.go) and a deterministic in-process loopback with
 // a virtual clock and fault hooks (loopback.go).
@@ -38,7 +47,7 @@ const (
 	KindHello Kind = iota + 1
 	KindHelloAck
 	// KindBye closes a session; the server answers KindByeAck and forgets
-	// the client's duplicate-suppression window.
+	// the client's reply cache.
 	KindBye
 	KindByeAck
 	// KindRREQ reads Count bytes at Addr; answered by KindRRESP carrying
@@ -156,15 +165,15 @@ func (s Status) Err() error {
 // Wire format limits.
 const (
 	// Version is the protocol version carried in every datagram.
-	Version = 1
+	Version = 2
 	// MaxArgs bounds the RMW operand count (memctl's widest op takes 2).
 	MaxArgs = 4
 	// MaxData bounds the payload so any message fits one unfragmented-ish
 	// UDP datagram (65507 payload max; leave generous headroom).
 	MaxData = 60000
 	// headerBytes is the fixed prefix: version(1) kind(1) status(1) op(1)
-	// nargs(1) id(4) addr(8) count(4).
-	headerBytes = 21
+	// nargs(1) id(4) addr(8) count(4) floor(4).
+	headerBytes = 25
 	// crcBytes is the trailing CRC-32 (Castagnoli).
 	crcBytes = 4
 	// MaxDatagram is the largest encoded message.
@@ -197,6 +206,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //	HELLO-ACK: ID, Status, Data (server geometry, see rmem)
 //	BYE / BYE-ACK: ID
 //
+// Every request also carries Floor, the client's ack floor.
+//
 // Msgs are pooled: a response handed to a callback (and request records
 // recycled by the client) is valid only for the duration of that callback.
 // Retaining one — or a view of its Data — requires an explicit copy
@@ -221,6 +232,10 @@ type Msg struct {
 	Args []uint64
 	// Data is the payload.
 	Data []byte
+	// Floor is the sender's ack floor: on a request, the lowest message ID
+	// its connection still has pending (every lower ID is retired). Conn
+	// stamps it; the Responder evicts cached replies below it.
+	Floor uint32
 }
 
 // EncodedSize reports the datagram size of m without building it.
@@ -234,7 +249,7 @@ func (m *Msg) EncodedSize() int {
 // full zero instead.
 func (m *Msg) Reset() {
 	m.Kind, m.Status, m.Op = 0, 0, 0
-	m.ID, m.Addr, m.Count = 0, 0, 0
+	m.ID, m.Addr, m.Count, m.Floor = 0, 0, 0, 0
 	m.Args = m.Args[:0]
 	m.Data = m.Data[:0]
 }
@@ -243,7 +258,7 @@ func (m *Msg) Reset() {
 // to retain a connection-owned response past the callback's return.
 func (m *Msg) Clone() *Msg {
 	n := &Msg{Kind: m.Kind, Status: m.Status, Op: m.Op,
-		ID: m.ID, Addr: m.Addr, Count: m.Count}
+		ID: m.ID, Addr: m.Addr, Count: m.Count, Floor: m.Floor}
 	if len(m.Args) > 0 {
 		n.Args = append([]uint64(nil), m.Args...)
 	}
@@ -301,6 +316,7 @@ func (m *Msg) AppendEncode(dst []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint32(b[5:], m.ID)
 	binary.LittleEndian.PutUint64(b[9:], m.Addr)
 	binary.LittleEndian.PutUint32(b[17:], m.Count)
+	binary.LittleEndian.PutUint32(b[21:], m.Floor)
 	off := headerBytes
 	for _, a := range m.Args {
 		binary.LittleEndian.PutUint64(b[off:], a)
@@ -309,6 +325,17 @@ func (m *Msg) AppendEncode(dst []byte) ([]byte, error) {
 	off += copy(b[off:], m.Data)
 	binary.LittleEndian.PutUint32(b[off:], crc32.Checksum(b[:off], castagnoli))
 	return dst, nil
+}
+
+// encodedFloor reads the ack floor of an encoded request.
+func encodedFloor(b []byte) uint32 { return binary.LittleEndian.Uint32(b[21:]) }
+
+// restampFloor rewrites the ack floor of an encoded request in place and
+// refreshes its checksum.
+func restampFloor(b []byte, floor uint32) {
+	binary.LittleEndian.PutUint32(b[21:], floor)
+	body := b[:len(b)-crcBytes]
+	binary.LittleEndian.PutUint32(b[len(body):], crc32.Checksum(body, castagnoli))
 }
 
 // Decode parses one datagram into a fresh Msg. It validates the version,
@@ -352,6 +379,7 @@ func DecodeInto(m *Msg, b []byte) error {
 	m.ID = binary.LittleEndian.Uint32(b[5:])
 	m.Addr = binary.LittleEndian.Uint64(b[9:])
 	m.Count = binary.LittleEndian.Uint32(b[17:])
+	m.Floor = binary.LittleEndian.Uint32(b[21:])
 	m.Args = m.Args[:0]
 	m.Data = m.Data[:0]
 	if m.Kind == 0 || m.Kind > kindMax {

@@ -14,11 +14,11 @@ func sampleMsgs() []*Msg {
 		{Kind: KindHelloAck, ID: 0, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 		{Kind: KindBye, ID: 9},
 		{Kind: KindByeAck, ID: 9},
-		{Kind: KindRREQ, ID: 1, Addr: 0xdeadbeef, Count: 4096},
+		{Kind: KindRREQ, ID: 1, Addr: 0xdeadbeef, Count: 4096, Floor: 1},
 		{Kind: KindRRESP, ID: 1, Data: bytes.Repeat([]byte{0xab}, 4096)},
 		{Kind: KindWREQ, ID: 2, Addr: 64, Count: 100, Data: bytes.Repeat([]byte{0x5a}, 100)},
 		{Kind: KindWACK, ID: 2},
-		{Kind: KindRMWREQ, ID: 3, Addr: 8, Op: 1, Args: []uint64{7, ^uint64(0)}},
+		{Kind: KindRMWREQ, ID: 3, Addr: 8, Op: 1, Args: []uint64{7, ^uint64(0)}, Floor: 0xfffffffe},
 		{Kind: KindRMWRESP, ID: 3, Data: []byte{1, 0, 0, 0, 0, 0, 0, 0}},
 		{Kind: KindWACK, ID: 4, Status: StatusRange},
 		{Kind: KindRMWRESP, ID: 5, Status: StatusOp},

@@ -133,7 +133,13 @@ type queued struct {
 // Conn is the client half of the reliable layer: it assigns message IDs,
 // transmits requests over an unreliable Pipe, retransmits on a per-message
 // timer until the matching response arrives, and fails the call with
-// ErrTimeout once the retry budget is spent. Callbacks are invoked on
+// ErrTimeout once the retry budget is spent. Every request carries the
+// connection's ack floor — the lowest ID still pending, so every lower ID
+// is retired (answered, timed out, aborted, or never sent) and will not be
+// retransmitted — which lets the Responder drop the replies it cached for
+// them. A call whose ID runs DefaultResponderWindow or more past the floor
+// — the span the server accepts — is held back unsent, and goes out once
+// the floor has advanced far enough. Callbacks are invoked on
 // whatever goroutine delivers the response (the transport's receive path or
 // the retry timer), never with the connection lock held — they may issue new
 // calls. The response Msg handed to a callback or Completion is pooled and
@@ -145,10 +151,12 @@ type Conn struct {
 
 	mu       sync.Mutex
 	nextID   uint32           // guarded by mu
+	floor    uint32           // guarded by mu: lowest pending ID, nextID when none is
 	pending  map[uint32]*call // guarded by mu
 	free     *call            // guarded by mu: recycled call records
 	corked   int              // guarded by mu: Cork nesting depth
 	queue    []queued         // guarded by mu: sends deferred while corked
+	held     []queued         // guarded by mu: calls past the server's window, oldest first
 	sendBufs [][]byte         // guarded by mu: flush scratch, reused across Uncorks
 	closed   bool             // guarded by mu
 }
@@ -209,17 +217,46 @@ func (c *Conn) freeCallLocked(cl *call) {
 	c.free = cl
 }
 
-// retireLocked completes a call's bookkeeping: out of pending, timer
-// stopped, recycled unless a send still references its buffer (afterSend
-// recycles it then).
+// retireLocked completes a call's bookkeeping: out of pending, ack floor
+// advanced past it, timer stopped, recycled unless a send still references
+// its buffer (afterSend recycles it then).
 func (c *Conn) retireLocked(cl *call) {
 	cl.done = true
 	delete(c.pending, cl.id)
+	if cl.id == c.floor {
+		c.advanceFloorLocked()
+	}
 	if cl.timer != nil {
 		cl.timer.Stop()
 	}
 	if cl.sending == 0 {
 		c.freeCallLocked(cl)
+	}
+}
+
+// admitLocked reports whether a call not yet sent may go out now: its ID
+// lies within the server's window above the floor and no earlier call is
+// held. A floor stamped at submission that would now place the call outside
+// that window is refreshed (no send references the buffer yet).
+func (c *Conn) admitLocked(q queued) bool {
+	if len(c.held) > 0 || q.id-c.floor >= DefaultResponderWindow {
+		return false
+	}
+	if q.id-encodedFloor(q.cl.enc) >= DefaultResponderWindow {
+		restampFloor(q.cl.enc, c.floor)
+	}
+	return true
+}
+
+// advanceFloorLocked moves the ack floor up to the lowest pending ID, or to
+// nextID when nothing is pending. IDs are issued in order, so each ID is
+// passed once: the walk costs one map lookup per ID, amortized.
+func (c *Conn) advanceFloorLocked() {
+	for c.floor != c.nextID {
+		if _, ok := c.pending[c.floor]; ok {
+			return
+		}
+		c.floor++
 	}
 }
 
@@ -260,10 +297,13 @@ func (c *Conn) submit(m *Msg, cb func(*Msg, error), comp Completion) (uint32, er
 	id := c.nextID
 	c.nextID++
 	m.ID = id
+	m.Floor = c.floor
 	cl := c.newCallLocked()
 	enc, err := m.AppendEncode(cl.enc[:0])
 	if err != nil {
+		// The ID is spent but was never pending: step the floor over it.
 		c.freeCallLocked(cl)
+		c.advanceFloorLocked()
 		c.mu.Unlock()
 		return 0, err
 	}
@@ -281,6 +321,14 @@ func (c *Conn) submit(m *Msg, cb func(*Msg, error), comp Completion) (uint32, er
 	mt := c.cfg.Metrics
 	if c.corked > 0 {
 		c.queue = append(c.queue, queued{id: id, cl: cl})
+		c.mu.Unlock()
+		mt.Requests[m.Kind].Inc()
+		mt.InFlight.Add(1)
+		c.cfg.Trace.Record(uint64(id), telemetry.StageEnqueue, uint8(m.Kind), start, 0)
+		return id, nil
+	}
+	if !c.admitLocked(queued{id: id, cl: cl}) {
+		c.held = append(c.held, queued{id: id, cl: cl})
 		c.mu.Unlock()
 		mt.Requests[m.Kind].Inc()
 		mt.InFlight.Add(1)
@@ -342,11 +390,35 @@ func (c *Conn) Uncork() {
 		if q.cl.done || c.pending[q.id] != q.cl {
 			continue
 		}
+		if !c.admitLocked(q) {
+			c.held = append(c.held, q)
+			continue
+		}
 		q.cl.sending++
 		live = append(live, q)
 		bufs = append(bufs, q.cl.enc)
 	}
 	c.mu.Unlock()
+	c.transmit(live, bufs)
+	for i := range bufs {
+		bufs[i] = nil
+	}
+	for i := range queue {
+		queue[i] = queued{}
+	}
+	c.mu.Lock()
+	if c.queue == nil {
+		c.queue = queue[:0]
+	}
+	if c.sendBufs == nil {
+		c.sendBufs = bufs[:0]
+	}
+	c.mu.Unlock()
+}
+
+// transmit sends a batch of first transmissions whose records the caller
+// has marked sending, then arms their retransmission timers.
+func (c *Conn) transmit(live []queued, bufs [][]byte) {
 	if len(live) > 0 {
 		c.cfg.Metrics.Datagrams.Add(uint64(len(live)))
 		if c.batch != nil {
@@ -366,20 +438,32 @@ func (c *Conn) Uncork() {
 	for _, q := range live {
 		c.afterSend(q.cl)
 	}
-	for i := range bufs {
-		bufs[i] = nil
-	}
-	for i := range queue {
-		queue[i] = queued{}
-	}
+}
+
+// sendHeld transmits the held calls that the advanced floor now admits.
+// Holding is rare (one call stalled while others run the ID span up to the
+// server's window), so this path allocates its scratch.
+func (c *Conn) sendHeld() {
 	c.mu.Lock()
-	if c.queue == nil {
-		c.queue = queue[:0]
+	var live []queued
+	var bufs [][]byte
+	n := 0
+	for ; n < len(c.held); n++ {
+		q := c.held[n]
+		if q.cl.done || c.pending[q.id] != q.cl {
+			continue
+		}
+		if q.id-c.floor >= DefaultResponderWindow {
+			break
+		}
+		restampFloor(q.cl.enc, c.floor)
+		q.cl.sending++
+		live = append(live, q)
+		bufs = append(bufs, q.cl.enc)
 	}
-	if c.sendBufs == nil {
-		c.sendBufs = bufs[:0]
-	}
+	c.held = append(c.held[:0], c.held[n:]...)
 	c.mu.Unlock()
+	c.transmit(live, bufs)
 }
 
 // timestamp reads the configured clock; zero when none is wired.
@@ -423,8 +507,7 @@ func (c *Conn) afterSend(cl *call) {
 // retry fires on the per-record timer: retransmit, or fail the call. A
 // stale firing — the timer's Stop raced a completion and the record now
 // carries a newer call — is detected by the pending check and at worst
-// costs one early retransmission, which the server's duplicate window
-// absorbs.
+// costs one early retransmission, which the server's reply cache absorbs.
 func (c *Conn) retry(cl *call) {
 	c.mu.Lock()
 	if c.closed || cl.done || c.pending[cl.id] != cl {
@@ -436,7 +519,11 @@ func (c *Conn) retry(cl *call) {
 		attempts := cl.attempts
 		cb, comp := cl.cb, cl.comp
 		c.retireLocked(cl)
+		held := len(c.held) > 0
 		c.mu.Unlock()
+		if held {
+			c.sendHeld()
+		}
 		c.cfg.Metrics.Timeouts.Inc()
 		c.cfg.Metrics.InFlight.Add(-1)
 		if c.cfg.Trace != nil {
@@ -489,7 +576,11 @@ func (c *Conn) Deliver(p []byte) {
 	}
 	cb, comp, start := cl.cb, cl.comp, cl.start
 	c.retireLocked(cl)
+	held := len(c.held) > 0
 	c.mu.Unlock()
+	if held {
+		c.sendHeld()
+	}
 	c.cfg.Metrics.Responses.Inc()
 	c.cfg.Metrics.RecvByKind[m.Kind].Inc()
 	c.cfg.Metrics.InFlight.Add(-1)
@@ -545,9 +636,10 @@ func (c *Conn) Abort(err error) {
 	}
 }
 
-// takePendingLocked retires every live pending call, returning the saved
-// completion targets.
+// takePendingLocked retires every live pending call, held ones included,
+// returning the saved completion targets.
 func (c *Conn) takePendingLocked() []pendingDone {
+	c.held = c.held[:0]
 	done := make([]pendingDone, 0, len(c.pending))
 	for _, cl := range c.pending {
 		if !cl.done {
@@ -582,19 +674,16 @@ func (c *Conn) Close() error {
 
 // ResponderConfig tunes the server half.
 type ResponderConfig struct {
-	// Window is the duplicate-suppression capacity: how many recent request
-	// IDs keep their cached response for replay. With the client's bounded
-	// outstanding window far below this, a retransmitted request always
-	// finds its cached response instead of re-executing — which keeps RMWs
-	// exactly-once.
-	Window int
 	// Metrics receives the responder counters. A server passes one shared
 	// instance to every session's responder, so the series aggregate over
 	// sessions. Nil gets a private, unregistered instance.
 	Metrics *ResponderMetrics
 }
 
-// DefaultResponderWindow is the default duplicate-suppression window.
+// DefaultResponderWindow bounds how far past the client's ack floor a
+// request ID may run. Conn holds a call that far ahead unsent until its
+// floor advances; a Responder drops, unexecuted, any such request that
+// arrives anyway, so a session never caches more replies than this.
 const DefaultResponderWindow = 4096
 
 // ResponderStats counts server-side events.
@@ -603,40 +692,47 @@ type ResponderStats struct {
 	Duplicates uint64 // retransmissions answered from the cache
 	Garbage    uint64 // datagrams that failed to decode
 	Rejected   uint64 // datagrams that decoded to a non-request kind
+	Stale      uint64 // requests below the ack floor, dropped unexecuted
+	Ahead      uint64 // requests past the window above the floor, dropped
 }
 
-// respEntry is one duplicate-suppression slot. It is inserted before the
-// handler runs (done false, enc empty) so a retransmission racing the first
-// execution waits for the response instead of re-executing — the guarantee
-// that keeps RMWs exactly-once. Entries live on a free list; enc is owned
-// by the entry and reused across evict/insert cycles, and the waiters count
-// pins an entry (and its enc) against recycling while a replay still
-// references it.
+// respEntry is one cached reply. It is inserted before the handler runs
+// (done false, enc empty) so a retransmission racing the first execution
+// waits for the response instead of re-executing — the guarantee that keeps
+// RMWs exactly-once. refs counts the goroutines that still read enc: the
+// executing one until its own send returns, plus every replay in progress.
+// An entry the ack floor has passed leaves the cache at once but returns to
+// entryPool only when refs drops to zero, so no handler or replay ever sees
+// its buffer rewritten for another ID.
 type respEntry struct {
 	enc     []byte
-	done    bool       // guarded by mu: response cached, safe to replay
-	waiters int        // guarded by mu: replays using this entry
-	next    *respEntry // guarded by mu: free-list link
+	done    bool // guarded by mu: response cached, safe to replay
+	evicted bool // guarded by mu: out of the cache, recycled when refs is zero
+	refs    int  // guarded by mu: goroutines reading enc
 }
 
+// entryPool recycles reply entries across sessions. Being a sync.Pool, it
+// holds no buffer past the next GC cycles: the live heap carries only the
+// replies a client can still retransmit.
+var entryPool = sync.Pool{New: func() any { return new(respEntry) }}
+
 // Responder is the server half of the reliable layer for one client session:
-// it decodes inbound requests, suppresses duplicates via an ID window with
-// cached-response replay, executes fresh requests through the handler, and
-// transmits the response. The handler runs on the delivering goroutine.
+// it decodes inbound requests, raises the session's ack floor from them,
+// suppresses duplicates by replaying the cached reply of any ID at or above
+// the floor, drops requests below the floor (retired calls) or too far past
+// it, executes fresh requests through the handler, and transmits the
+// response. The handler runs on the delivering goroutine.
 type Responder struct {
 	pipe    Pipe
 	handler func(req, resp *Msg)
 	metrics *ResponderMetrics
 
 	mu      sync.Mutex
-	filled  *sync.Cond // signals entries transitioning to done
-	waiting int        // guarded by mu: goroutines parked in filled.Wait
-	window  int
-	cache   map[uint32]*respEntry // guarded by mu
-	order   []uint32              // guarded by mu: ring of cached IDs, oldest first
-	head    int                   // guarded by mu: ring read position
-	count   int                   // guarded by mu: ring occupancy
-	free    *respEntry            // guarded by mu: recycled entries
+	filled  *sync.Cond            // signals entries transitioning to done
+	waiting int                   // guarded by mu: goroutines parked in filled.Wait
+	floor   uint32                // guarded by mu: the client's ack floor
+	started bool                  // guarded by mu: floor taken from a first request
+	cache   map[uint32]*respEntry // guarded by mu: replies of IDs at or above floor
 }
 
 // NewResponder builds the server half over pipe. handler serves one fresh
@@ -648,14 +744,11 @@ type Responder struct {
 // are pooled: valid only for the duration of the call, never retained.
 // Protocol errors are responses with a non-OK status.
 func NewResponder(pipe Pipe, cfg ResponderConfig, handler func(req, resp *Msg)) *Responder {
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultResponderWindow
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewResponderMetrics(nil)
 	}
 	r := &Responder{pipe: pipe, handler: handler, metrics: cfg.Metrics,
-		window: cfg.Window, cache: make(map[uint32]*respEntry, cfg.Window)}
+		cache: make(map[uint32]*respEntry)}
 	r.filled = sync.NewCond(&r.mu)
 	return r
 }
@@ -668,54 +761,65 @@ func (r *Responder) Stats() ResponderStats {
 		Duplicates: r.metrics.Duplicates.Load(),
 		Garbage:    r.metrics.Garbage.Load(),
 		Rejected:   r.metrics.Rejected.Load(),
+		Stale:      r.metrics.Stale.Load(),
+		Ahead:      r.metrics.Ahead.Load(),
 	}
 }
 
-// newEntryLocked draws a dedup entry from the free list.
-func (r *Responder) newEntryLocked() *respEntry {
-	e := r.free
-	if e == nil {
-		//edmlint:allow hotpath free-list miss: allocates only until the dedup window fills
-		return &respEntry{}
+// raiseFloorLocked adopts floor f if it is ahead of the session's, by
+// serial-number comparison (IDs wrap at 2^32), and evicts every cached
+// reply below it. The first request of a session sets the floor outright.
+func (r *Responder) raiseFloorLocked(f uint32) {
+	if !r.started {
+		r.floor, r.started = f, true
+		return
 	}
-	r.free = e.next
-	e.next = nil
-	e.done = false
-	e.waiters = 0
+	passed := f - r.floor
+	if int32(passed) <= 0 {
+		return
+	}
+	if uint32(len(r.cache)) < passed {
+		for id, e := range r.cache {
+			if int32(id-f) < 0 {
+				r.evictLocked(id, e)
+			}
+		}
+	} else {
+		for id := r.floor; id != f; id++ {
+			if e, ok := r.cache[id]; ok {
+				r.evictLocked(id, e)
+			}
+		}
+	}
+	r.floor = f
+}
+
+// evictLocked drops id's reply from the cache, recycling its entry unless
+// a goroutine still reads it (releaseLocked recycles it then).
+func (r *Responder) evictLocked(id uint32, e *respEntry) {
+	delete(r.cache, id)
+	e.evicted = true
+	if e.refs == 0 {
+		recycleEntryLocked(e)
+	}
+}
+
+// releaseLocked drops one reader's reference to e.
+func (r *Responder) releaseLocked(e *respEntry) {
+	e.refs--
+	if e.refs == 0 && e.evicted {
+		recycleEntryLocked(e)
+	}
+}
+
+// recycleEntryLocked returns an entry no goroutine references to the pool,
+// keeping its buffer's capacity for the next reply.
+//
+//edmlint:allow pooledescape the pool is the entries' own storage once the floor has passed them
+func recycleEntryLocked(e *respEntry) {
 	e.enc = e.enc[:0]
-	return e
-}
-
-func (r *Responder) freeEntryLocked(e *respEntry) {
-	e.next = r.free
-	r.free = e
-}
-
-// pushOrderLocked appends id to the eviction ring, growing it by doubling
-// (the ring tops out at the configured window plus in-flight overshoot).
-func (r *Responder) pushOrderLocked(id uint32) {
-	if r.count == len(r.order) {
-		n := 2 * len(r.order)
-		if n == 0 {
-			n = 64
-		}
-		//edmlint:allow hotpath ring growth is amortized and bounded by the dedup window
-		grown := make([]uint32, n)
-		for i := 0; i < r.count; i++ {
-			grown[i] = r.order[(r.head+i)%len(r.order)]
-		}
-		r.order = grown
-		r.head = 0
-	}
-	r.order[(r.head+r.count)%len(r.order)] = id
-	r.count++
-}
-
-func (r *Responder) popOrderLocked() uint32 {
-	id := r.order[r.head]
-	r.head = (r.head + 1) % len(r.order)
-	r.count--
-	return id
+	e.done, e.evicted = false, false
+	entryPool.Put(e)
 }
 
 // Deliver is the inbound datagram path for one client's requests.
@@ -735,11 +839,25 @@ func (r *Responder) Deliver(p []byte) {
 	}
 	r.metrics.RecvByKind[m.Kind].Inc()
 	r.mu.Lock()
+	r.raiseFloorLocked(m.Floor)
+	if ahead := m.ID - r.floor; int32(ahead) < 0 || ahead >= DefaultResponderWindow {
+		// Below the floor: a late duplicate of a call the client has
+		// retired, whose reply is gone; it must not execute again. Past
+		// the window: dropped to bound the cache; the client retransmits.
+		r.mu.Unlock()
+		if int32(ahead) < 0 {
+			r.metrics.Stale.Inc()
+		} else {
+			r.metrics.Ahead.Inc()
+		}
+		putMsg(m)
+		return
+	}
 	if e, ok := r.cache[m.ID]; ok {
 		// Duplicate: wait out a still-running first execution, then replay
-		// its response without re-executing. The waiters count pins the
-		// entry so eviction cannot recycle its buffer mid-replay.
-		e.waiters++
+		// its response without re-executing. The reference pins the entry
+		// so eviction cannot recycle its buffer mid-replay.
+		e.refs++
 		for !e.done {
 			r.waiting++
 			r.filled.Wait()
@@ -751,30 +869,13 @@ func (r *Responder) Deliver(p []byte) {
 		putMsg(m)
 		r.pipe.Send(enc)
 		r.mu.Lock()
-		e.waiters--
+		r.releaseLocked(e)
 		r.mu.Unlock()
 		return
 	}
-	e := r.newEntryLocked()
-	if r.count >= r.window {
-		// Evict the oldest *completed, unreferenced* entry. An entry whose
-		// handler is still running must survive — its retransmissions have
-		// to keep hitting the cache or the request would re-execute,
-		// breaking exactly-once. If every entry is in flight (bounded by
-		// the client's concurrency), the cache temporarily overshoots.
-		for i, n := 0, r.count; i < n; i++ {
-			oldest := r.popOrderLocked()
-			old := r.cache[oldest]
-			if old.done && old.waiters == 0 {
-				delete(r.cache, oldest)
-				r.freeEntryLocked(old)
-				break
-			}
-			r.pushOrderLocked(oldest)
-		}
-	}
+	e := entryPool.Get().(*respEntry)
+	e.refs = 1
 	r.cache[m.ID] = e
-	r.pushOrderLocked(m.ID)
 	scratch := e.enc
 	r.mu.Unlock()
 	r.metrics.Requests.Inc()
@@ -805,4 +906,7 @@ func (r *Responder) Deliver(p []byte) {
 		r.filled.Broadcast()
 	}
 	r.pipe.Send(enc)
+	r.mu.Lock()
+	r.releaseLocked(e)
+	r.mu.Unlock()
 }

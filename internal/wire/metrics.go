@@ -62,11 +62,15 @@ type ResponderMetrics struct {
 	// by kind, duplicates included.
 	Requests   *telemetry.Counter
 	RecvByKind [NumKinds]*telemetry.Counter
-	// Retransmissions answered from the dedup cache (replayed responses),
+	// Retransmissions answered from the reply cache (replayed responses),
 	// undecodable datagrams, and decoded non-request kinds.
 	Duplicates *telemetry.Counter
 	Garbage    *telemetry.Counter
 	Rejected   *telemetry.Counter
+	// Requests dropped unexecuted: below the client's ack floor (late
+	// duplicates of retired calls), or DefaultResponderWindow or more past it.
+	Stale *telemetry.Counter
+	Ahead *telemetry.Counter
 }
 
 // NewResponderMetrics registers the server family (`wire_server_*`) in r.
@@ -76,6 +80,8 @@ func NewResponderMetrics(r *telemetry.Registry) *ResponderMetrics {
 		Duplicates: r.Counter("wire_server_replays_total"),
 		Garbage:    r.Counter("wire_server_garbage_total"),
 		Rejected:   r.Counter("wire_server_rejected_total"),
+		Stale:      r.Counter("wire_server_stale_total"),
+		Ahead:      r.Counter("wire_server_ahead_total"),
 	}
 	for k := KindHello; k <= kindMax; k++ {
 		if k.IsRequest() {

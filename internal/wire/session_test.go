@@ -13,8 +13,10 @@ import (
 	"repro/internal/sim"
 )
 
-// TestResponderEvictionKeepsInflight: a full cache must not evict an entry
-// whose handler is still running — its retransmissions depend on it.
+// TestResponderEvictionKeepsInflight: an entry whose handler is still
+// running keeps the client's ack floor at its ID, so later requests — each
+// stamped with that floor — cannot evict it; its retransmission must wait
+// for the running execution, not re-execute.
 func TestResponderEvictionKeepsInflight(t *testing.T) {
 	var sent [][]byte
 	var mu sync.Mutex
@@ -27,34 +29,27 @@ func TestResponderEvictionKeepsInflight(t *testing.T) {
 			<-release // first request stalls mid-execution
 		}
 	}
-	r := NewResponder(pipe, ResponderConfig{Window: 2}, handler)
+	r := NewResponder(pipe, ResponderConfig{}, handler)
 
-	enc := func(id uint32) []byte {
-		b, err := (&Msg{Kind: KindRREQ, ID: id, Count: 1}).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		r.Deliver(enc(0)) // blocks in the handler
+		r.Deliver(reqDatagram(t, 0, 0)) // blocks in the handler
 	}()
 	for executions.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	// Two completed requests fill the window past capacity; under naive
-	// FIFO eviction they would evict ID 0's in-flight entry.
-	r.Deliver(enc(1))
-	r.Deliver(enc(2))
+	// Later requests complete while ID 0 is still pending at the client,
+	// so they carry floor 0.
+	r.Deliver(reqDatagram(t, 1, 0))
+	r.Deliver(reqDatagram(t, 2, 0))
 	// A retransmission of ID 0 must hit the (in-flight) cache entry and
 	// wait, not re-execute.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		r.Deliver(enc(0))
+		r.Deliver(reqDatagram(t, 0, 0))
 	}()
 	time.Sleep(10 * time.Millisecond)
 	close(release)
@@ -67,7 +62,7 @@ func TestResponderEvictionKeepsInflight(t *testing.T) {
 	}
 }
 
-// collectPipe records sent datagrams.
+// collectPipe records copies of sent datagrams.
 type collectPipe struct {
 	mu   *sync.Mutex
 	sent *[][]byte
@@ -76,15 +71,15 @@ type collectPipe struct {
 func (p collectPipe) Send(b []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	*p.sent = append(*p.sent, b)
+	*p.sent = append(*p.sent, append([]byte(nil), b...))
 	return nil
 }
 
 func (p collectPipe) Close() error { return nil }
 
 // TestUDPSessionResetOnHello: a restarted client reusing its source port
-// must get a fresh session — the old incarnation's duplicate-suppression
-// cache would otherwise replay stale responses to the new message IDs.
+// must get a fresh session — the old incarnation's reply cache would
+// otherwise replay stale responses to the new message IDs.
 func TestUDPSessionResetOnHello(t *testing.T) {
 	executions := 0
 	var mu sync.Mutex
@@ -156,7 +151,7 @@ func TestUDPSessionResetOnHello(t *testing.T) {
 }
 
 // TestUDPDuplicateHelloKeepsSession: a retransmitted HELLO carrying the
-// current session's token must NOT reset the session — wiping the dedup
+// current session's token must NOT reset the session — wiping the reply
 // cache mid-pipeline would let retransmitted RMWs re-execute.
 func TestUDPDuplicateHelloKeepsSession(t *testing.T) {
 	var executions atomic.Int32

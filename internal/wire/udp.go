@@ -5,6 +5,7 @@ package wire
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"time"
@@ -41,6 +42,7 @@ func DialUDP(addr string) (*UDPClient, error) {
 // and copy, satisfying this). Run returns when the socket closes.
 func (u *UDPClient) Run(deliver func([]byte)) {
 	r := newBatchReceiver(u.conn, false)
+	defer r.release()
 	for {
 		n, err := r.recvBatch()
 		if err != nil {
@@ -79,19 +81,19 @@ func (u *UDPClient) Close() error {
 // listening socket, so Close is a no-op.
 type udpReply struct {
 	conn *net.UDPConn
-	addr *net.UDPAddr
+	addr netip.AddrPort
 }
 
 func (r *udpReply) Send(p []byte) error {
-	_, err := r.conn.WriteToUDP(p, r.addr)
+	_, err := r.conn.WriteToUDPAddrPort(p, r.addr)
 	return err
 }
 
 func (r *udpReply) Close() error { return nil }
 
 // sessionIdleTimeout bounds how long a silent session keeps its state (the
-// duplicate-suppression cache); a client that vanished without a BYE is
-// reclaimed after this long.
+// reply cache); a client that vanished without a BYE is reclaimed after
+// this long.
 const sessionIdleTimeout = 5 * time.Minute
 
 // udpSession is one remote client's state.
@@ -116,6 +118,25 @@ var pktBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// recvBufPool recycles receive buffers — udpBatchSize datagrams of
+// MaxDatagram+1 bytes, about 1 MB where receives are batched — across
+// sockets, so a short-lived connection takes a closed one's buffers instead
+// of allocating its own.
+var recvBufPool = sync.Pool{New: func() any {
+	bufs := new([udpBatchSize][]byte)
+	for i := range bufs {
+		bufs[i] = make([]byte, MaxDatagram+1)
+	}
+	return bufs
+}}
+
+// release returns the receiver's buffers to recvBufPool once its read loop
+// has ended and no packet it returned is still in use.
+func (r *batchReceiver) release() {
+	recvBufPool.Put(r.bufs)
+	r.bufs = nil
+}
+
 // UDPServer owns a listening UDP socket and demultiplexes datagrams to
 // per-remote sessions. The accept callback is invoked once per new remote
 // address with a reply Pipe and returns that session's receive path
@@ -126,10 +147,10 @@ var pktBufPool = sync.Pool{New: func() any {
 // Session lifecycle: a (CRC-valid) HELLO carrying a token different from
 // the current session's starts a fresh session — a restarted client
 // reusing its source port must not inherit the previous incarnation's
-// duplicate-suppression cache, which would replay stale responses to its
-// new message IDs. A HELLO with the *same* token is a retransmission of
+// reply cache, which would replay stale responses to its new message IDs.
+// A HELLO with the *same* token is a retransmission of
 // the current session's handshake and is delivered into it unchanged (the
-// dedup cache replays the HELLO-ACK), so an in-flight duplicate cannot
+// reply cache replays the HELLO-ACK), so an in-flight duplicate cannot
 // wipe the cache out from under pipelined ops. Clients that send no token
 // get the conservative always-reset behaviour. A (CRC-valid) BYE retires
 // the session after delivery; a retransmitted BYE simply opens and
@@ -140,9 +161,9 @@ type UDPServer struct {
 	accept func(remote string, reply Pipe) func([]byte)
 
 	mu          sync.Mutex
-	sessions    map[string]*udpSession // guarded by mu
-	sessMetrics *UDPServerMetrics      // guarded by mu
-	closed      bool                   // guarded by mu
+	sessions    map[netip.AddrPort]*udpSession // guarded by mu
+	sessMetrics *UDPServerMetrics              // guarded by mu
+	closed      bool                           // guarded by mu
 	done        chan struct{}
 	wg          sync.WaitGroup
 }
@@ -159,7 +180,7 @@ func ListenUDP(addr string, accept func(remote string, reply Pipe) func([]byte))
 		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
 	}
 	s := &UDPServer{conn: conn, accept: accept,
-		sessions: make(map[string]*udpSession), done: make(chan struct{}),
+		sessions: make(map[netip.AddrPort]*udpSession), done: make(chan struct{}),
 		sessMetrics: NewUDPServerMetrics(nil)}
 	s.wg.Add(2)
 	go s.readLoop()
@@ -204,10 +225,13 @@ func sessionControl(p []byte) (hello, bye bool, token string) {
 
 // route classifies one datagram against the session table and returns the
 // session's receive path (nil when the server is closed or the session has
-// no deliver hook).
-func (s *UDPServer) route(p []byte, raddr *net.UDPAddr) func([]byte) {
+// no deliver hook). Sessions are keyed by the source address as a value,
+// so routing an established session's datagram allocates nothing; the
+// remote's string form is built only for accept.
+//
+//edmlint:hotpath one route per inbound datagram
+func (s *UDPServer) route(p []byte, key netip.AddrPort) func([]byte) {
 	hello, bye, token := sessionControl(p)
-	key := raddr.String()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -218,10 +242,7 @@ func (s *UDPServer) route(p []byte, raddr *net.UDPAddr) func([]byte) {
 	// session's token (then it is a handshake retransmission).
 	reset := hello && (!ok || token == "" || token != sess.token)
 	if !ok || reset {
-		sess = &udpSession{
-			deliver: s.accept(key, &udpReply{conn: s.conn, addr: cloneUDPAddr(raddr)}),
-			token:   token,
-		}
+		sess = s.newSession(key, token)
 		s.sessions[key] = sess
 		s.sessMetrics.Started.Inc()
 		if ok && reset {
@@ -240,10 +261,18 @@ func (s *UDPServer) route(p []byte, raddr *net.UDPAddr) func([]byte) {
 	return sess.deliver
 }
 
+// newSession opens the session state for a new remote.
+func (s *UDPServer) newSession(key netip.AddrPort, token string) *udpSession {
+	return &udpSession{
+		deliver: s.accept(key.String(), &udpReply{conn: s.conn, addr: key}),
+		token:   token,
+	}
+}
+
 // readLoop drains the socket in recvmmsg batches and fans the packets out
 // to a fixed worker pool. Ordering note: packets from one remote can
 // execute on different workers concurrently, which is safe because the
-// Responder serializes per-ID execution through its dedup window; and a
+// Responder serializes per-ID execution through its reply cache; and a
 // worker blocked on an in-progress duplicate is always waiting on an
 // execution owned by a *different* packet, never its own, so the pool
 // cannot deadlock on itself.
@@ -268,6 +297,7 @@ func (s *UDPServer) readLoop() {
 		}()
 	}
 	r := newBatchReceiver(s.conn, true)
+	defer r.release()
 	for {
 		n, err := r.recvBatch()
 		if err != nil {
@@ -312,28 +342,11 @@ func (s *UDPServer) janitor() {
 	}
 }
 
-// cloneUDPAddr copies raddr, whose backing storage the read loop reuses.
-func cloneUDPAddr(a *net.UDPAddr) *net.UDPAddr {
-	return &net.UDPAddr{IP: append(net.IP(nil), a.IP...), Port: a.Port, Zone: a.Zone}
-}
-
 // Sessions reports the number of live sessions.
 func (s *UDPServer) Sessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.sessions)
-}
-
-// Forget drops the session state for one remote (after a BYE, so a future
-// HELLO from the same address starts fresh).
-func (s *UDPServer) Forget(remote string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.sessions[remote]; ok {
-		delete(s.sessions, remote)
-		s.sessMetrics.Retired.Inc()
-	}
-	s.sessMetrics.Active.Set(int64(len(s.sessions)))
 }
 
 // Close stops the server and waits for in-flight handlers.

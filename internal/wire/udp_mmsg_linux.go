@@ -4,11 +4,14 @@
 // the RawConn read/write callbacks so the netpoller keeps scheduling the
 // socket (returning false on EAGAIN parks the goroutine until readiness),
 // and the scratch msghdr/iovec arrays are heap-allocated: the kernel reads
-// them by pointer, and Go stacks — unlike the heap — can move.
+// them by pointer, and Go stacks — unlike the heap — can move. Each sender
+// and receiver binds its callback once, passing arguments and results
+// through its own fields, so a syscall allocates no closure.
 package wire
 
 import (
 	"net"
+	"net/netip"
 	"strconv"
 	"sync"
 	"syscall"
@@ -40,16 +43,36 @@ type batchSender struct {
 	mu       sync.Mutex
 	sendHdrs []mmsghdr       // guarded by mu: syscall scratch, reused per batch
 	sendIovs []syscall.Iovec // guarded by mu
+	writeFn  func(fd uintptr) bool
+	n        int // guarded by mu: datagrams in the chunk writeFn sends
+	sent     int // guarded by mu: writeFn's result
 }
 
 func newBatchSender(c *net.UDPConn) *batchSender {
 	s := &batchSender{c: c,
 		sendHdrs: make([]mmsghdr, udpBatchSize),
 		sendIovs: make([]syscall.Iovec, udpBatchSize)}
+	s.writeFn = s.sendmmsgLocked
 	if rc, err := c.SyscallConn(); err == nil {
 		s.rc = rc
 	}
 	return s
+}
+
+// sendmmsgLocked is the RawConn write callback, run under mu inside send:
+// one sendmmsg of the first n prepared headers, its count left in sent.
+func (s *batchSender) sendmmsgLocked(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&s.sendHdrs[0])), uintptr(s.n), 0, 0, 0)
+	switch {
+	case errno == syscall.EAGAIN:
+		return false
+	case errno != 0:
+		s.sent = s.n // dropped chunk; retransmission recovers
+	default:
+		s.sent = int(r1)
+	}
+	return true
 }
 
 // send transmits ps in order, up to udpBatchSize datagrams per sendmmsg. A
@@ -81,23 +104,11 @@ func (s *batchSender) send(ps [][]byte) error {
 			s.sendHdrs[i].hdr.Iov = &s.sendIovs[i]
 			s.sendHdrs[i].hdr.Iovlen = 1
 		}
-		sent := 0
-		err := s.rc.Write(func(fd uintptr) bool {
-			r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&s.sendHdrs[0])), uintptr(n), 0, 0, 0)
-			switch {
-			case errno == syscall.EAGAIN:
-				return false
-			case errno != 0:
-				sent = n // dropped chunk; retransmission recovers
-			default:
-				sent = int(r1)
-			}
-			return true
-		})
-		if err != nil {
+		s.n, s.sent = n, 0
+		if err := s.rc.Write(s.writeFn); err != nil {
 			return err
 		}
+		sent := s.sent
 		if sent <= 0 {
 			sent = n
 		}
@@ -115,30 +126,49 @@ type batchReceiver struct {
 	rc      syscall.RawConn // nil: single-datagram fallback
 	capture bool
 
-	bufs  [][]byte
-	hdrs  []mmsghdr
-	iovs  []syscall.Iovec
-	names []syscall.RawSockaddrAny
-	addrs []net.UDPAddr
+	bufs   *[udpBatchSize][]byte // from recvBufPool until release
+	hdrs   []mmsghdr
+	iovs   []syscall.Iovec
+	names  []syscall.RawSockaddrAny
+	addrs  []netip.AddrPort
+	readFn func(fd uintptr) bool
+	got    int   // readFn's datagram count
+	sysErr error // readFn's non-EAGAIN failure
 }
 
 func newBatchReceiver(c *net.UDPConn, capture bool) *batchReceiver {
 	r := &batchReceiver{c: c, capture: capture,
-		bufs:  make([][]byte, udpBatchSize),
+		bufs:  recvBufPool.Get().(*[udpBatchSize][]byte),
 		hdrs:  make([]mmsghdr, udpBatchSize),
 		iovs:  make([]syscall.Iovec, udpBatchSize),
 		names: make([]syscall.RawSockaddrAny, udpBatchSize),
-		addrs: make([]net.UDPAddr, udpBatchSize)}
-	for i := range r.bufs {
-		r.bufs[i] = make([]byte, MaxDatagram+1)
-	}
+		addrs: make([]netip.AddrPort, udpBatchSize)}
+	r.readFn = r.recvmmsg
 	if rc, err := c.SyscallConn(); err == nil {
 		r.rc = rc
 	}
 	return r
 }
 
-// recv blocks for at least one datagram and returns how many arrived.
+// recvmmsg is the RawConn read callback: one recvmmsg into the prepared
+// headers, its count left in got and any failure in sysErr.
+func (r *batchReceiver) recvmmsg(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+		uintptr(unsafe.Pointer(&r.hdrs[0])), udpBatchSize, 0, 0, 0)
+	switch {
+	case errno == syscall.EAGAIN:
+		return false
+	case errno != 0:
+		r.sysErr = errno
+	default:
+		r.got = int(r1)
+	}
+	return true
+}
+
+// recvBatch blocks for at least one datagram and returns how many arrived.
+//
+//edmlint:hotpath one recvBatch per socket wake-up on both ends
 func (r *batchReceiver) recvBatch() (int, error) {
 	if r.rc == nil {
 		return r.recvOne()
@@ -154,44 +184,30 @@ func (r *batchReceiver) recvBatch() (int, error) {
 			r.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[i]))
 		}
 	}
-	got := 0
-	var sysErr error
-	err := r.rc.Read(func(fd uintptr) bool {
-		r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-			uintptr(unsafe.Pointer(&r.hdrs[0])), udpBatchSize, 0, 0, 0)
-		switch {
-		case errno == syscall.EAGAIN:
-			return false
-		case errno != 0:
-			sysErr = errno
-		default:
-			got = int(r1)
-		}
-		return true
-	})
-	if err != nil {
+	r.got, r.sysErr = 0, nil
+	if err := r.rc.Read(r.readFn); err != nil {
 		return 0, err
 	}
-	if sysErr != nil {
-		return 0, sysErr
+	if r.sysErr != nil {
+		return 0, r.sysErr
 	}
 	if r.capture {
-		for i := 0; i < got; i++ {
-			rawToUDPAddr(&r.names[i], &r.addrs[i])
+		for i := 0; i < r.got; i++ {
+			r.addrs[i] = rawToAddrPort(&r.names[i])
 		}
 	}
-	return got, nil
+	return r.got, nil
 }
 
 // recvOne is the fallback when the socket exposes no RawConn.
 func (r *batchReceiver) recvOne() (int, error) {
 	if r.capture {
-		n, addr, err := r.c.ReadFromUDP(r.bufs[0])
+		n, addr, err := r.c.ReadFromUDPAddrPort(r.bufs[0])
 		if err != nil {
 			return 0, err
 		}
 		r.hdrs[0].n = uint32(n)
-		r.addrs[0] = *addr
+		r.addrs[0] = addr
 		return 1, nil
 	}
 	n, err := r.c.Read(r.bufs[0])
@@ -205,30 +221,25 @@ func (r *batchReceiver) recvOne() (int, error) {
 // pkt returns packet i of the last recv; valid until the next recv.
 func (r *batchReceiver) pkt(i int) []byte { return r.bufs[i][:r.hdrs[i].n] }
 
-// src returns packet i's source address; valid until the next recv.
-func (r *batchReceiver) src(i int) *net.UDPAddr { return &r.addrs[i] }
+// src returns packet i's source address.
+func (r *batchReceiver) src(i int) netip.AddrPort { return r.addrs[i] }
 
-// rawToUDPAddr decodes a kernel sockaddr into out, reusing out's IP
-// capacity. Ports arrive big-endian; the gated platforms are little-endian,
-// so the swap is unconditional.
-func rawToUDPAddr(sa *syscall.RawSockaddrAny, out *net.UDPAddr) {
-	out.Zone = ""
+// rawToAddrPort decodes a kernel sockaddr. Ports arrive big-endian; the
+// gated platforms are little-endian, so the swap is unconditional.
+func rawToAddrPort(sa *syscall.RawSockaddrAny) netip.AddrPort {
 	switch sa.Addr.Family {
 	case syscall.AF_INET:
 		a := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
-		out.IP = append(out.IP[:0], a.Addr[:]...)
-		out.Port = int(ntohs(a.Port))
+		return netip.AddrPortFrom(netip.AddrFrom4(a.Addr), ntohs(a.Port))
 	case syscall.AF_INET6:
 		a := (*syscall.RawSockaddrInet6)(unsafe.Pointer(sa))
-		out.IP = append(out.IP[:0], a.Addr[:]...)
-		out.Port = int(ntohs(a.Port))
+		ip := netip.AddrFrom16(a.Addr)
 		if a.Scope_id != 0 {
-			out.Zone = strconv.FormatUint(uint64(a.Scope_id), 10)
+			ip = ip.WithZone(strconv.FormatUint(uint64(a.Scope_id), 10))
 		}
-	default:
-		out.IP = out.IP[:0]
-		out.Port = 0
+		return netip.AddrPortFrom(ip, ntohs(a.Port))
 	}
+	return netip.AddrPort{}
 }
 
 func ntohs(v uint16) uint16 { return v<<8 | v>>8 }

@@ -7,7 +7,10 @@
 // amortization is lost.
 package wire
 
-import "net"
+import (
+	"net"
+	"net/netip"
+)
 
 // udpBatchSize is how many datagrams one receive call can return.
 const udpBatchSize = 1
@@ -31,27 +34,27 @@ func (s *batchSender) send(ps [][]byte) error {
 type batchReceiver struct {
 	c       *net.UDPConn
 	capture bool
-	buf     []byte
+	bufs    *[udpBatchSize][]byte // from recvBufPool until release
 	n       int
-	from    net.UDPAddr
+	from    netip.AddrPort
 }
 
 func newBatchReceiver(c *net.UDPConn, capture bool) *batchReceiver {
-	return &batchReceiver{c: c, capture: capture, buf: make([]byte, MaxDatagram+1)}
+	return &batchReceiver{c: c, capture: capture, bufs: recvBufPool.Get().(*[udpBatchSize][]byte)}
 }
 
 // recv blocks for one datagram and returns 1.
 func (r *batchReceiver) recvBatch() (int, error) {
 	if r.capture {
-		n, addr, err := r.c.ReadFromUDP(r.buf)
+		n, addr, err := r.c.ReadFromUDPAddrPort(r.bufs[0])
 		if err != nil {
 			return 0, err
 		}
 		r.n = n
-		r.from = *addr
+		r.from = addr
 		return 1, nil
 	}
-	n, err := r.c.Read(r.buf)
+	n, err := r.c.Read(r.bufs[0])
 	if err != nil {
 		return 0, err
 	}
@@ -60,7 +63,7 @@ func (r *batchReceiver) recvBatch() (int, error) {
 }
 
 // pkt returns packet i of the last recv; valid until the next recv.
-func (r *batchReceiver) pkt(i int) []byte { return r.buf[:r.n] }
+func (r *batchReceiver) pkt(i int) []byte { return r.bufs[0][:r.n] }
 
-// src returns packet i's source address; valid until the next recv.
-func (r *batchReceiver) src(i int) *net.UDPAddr { return &r.from }
+// src returns packet i's source address.
+func (r *batchReceiver) src(i int) netip.AddrPort { return r.from }
